@@ -5,23 +5,28 @@ decode time::
 
     (handler, instr, size, cost, klass, atomic)
 
-``handler`` is the unbound dispatch function for the mnemonic, ``cost``
-the fully evaluated static cycle cost (base + lock penalty + memory
-operand traffic), ``klass`` the perf-counter class name and ``atomic``
-whether the instruction counts as an atomic RMW.  With a plan in hand,
-the steady-state step is one dict lookup plus the handler call — none
-of the per-step cost recomputation (two generator expressions and three
-dict probes per instruction) the seed interpreter performed.
+``handler`` is the instruction's specialized handler (see
+:func:`specialize`): a few lines of Python over the thread's register
+list with the register indices, width masks, immediates and address
+formula folded in, so a register ``mov`` retires in one Python call.
+``cost`` is the fully evaluated static cycle cost (base + lock penalty
++ memory operand traffic), ``klass`` the perf-counter class name and
+``atomic`` whether the instruction counts as an atomic RMW.  With a
+plan in hand, the steady-state step is one dict lookup plus the
+handler call.
 
 Tier 2 — **superblock dispatch** (:func:`run_fast`).  Within one
 scheduling quantum the current thread executes straight-line (and
-branchy) guest code without re-entering the outer ``run()`` loop: the
-chain executor in :func:`_run_chain` keeps every per-instruction
-counter in a local variable and publishes them when the chain breaks.
-The seed loop's per-instruction runnable-thread rescan is replaced by
-the machine's incrementally maintained ``_runnable`` counter, updated
-only on thread state transitions (spawn/block/wake/done) and resynced
-for free at every ``_pick_thread``.
+branchy) guest code without re-entering the outer loop: the chain
+executor :func:`_run_chain` keeps the cycle and wall-clock sums in
+locals, derives the retired-instruction counts from the quantum budget
+it consumed, and publishes everything when the chain breaks.  The seed
+loop's per-instruction runnable-thread rescan is replaced by the
+machine's incrementally maintained ``_runnable`` counter, updated only
+on thread state transitions (spawn/block/wake/done) and resynced for
+free at every ``_pick_thread``.  :func:`run_fast` is the one scheduler
+loop of the fast and jit engines; the trace JIT passes its
+trace-dispatching chain executor in place of :func:`_run_chain`.
 
 Determinism is a hard invariant, bit for bit:
 
@@ -42,34 +47,115 @@ Opt-in layers compose structurally: a machine with a ``step_hook`` or
 an instance-level ``_step`` (the sanitizer's wrapper) never enters the
 chain executor — every instruction takes the hook-preserving single
 step path, which still benefits from the incremental runnable counter.
+A machine with register-traffic profiling plans the generic handlers,
+whose counting register accessors the specialized ones skip.
 ``invalidate_decode_cache()`` drops plans together with decodes, and
 ``call_guest`` re-enters via ``_step`` which shares the same plan
 cache.  ``tests/integration/test_engine_equivalence.py`` pins the
-invariant against the seed loop; ``docs/PERFORMANCE.md`` documents the
-design and the throughput benchmark.
+invariant against the seed loop, ``tests/unit/test_engine_specialize.py``
+each specialized shape against its generic handler;
+``docs/PERFORMANCE.md`` documents the design and the throughput
+benchmark.
 """
 
 from __future__ import annotations
+
+import functools
 
 from ..binfmt import IMPORT_STUB_BASE
 from ..isa.instructions import Imm, Instruction, Mem
 from ..isa.registers import Reg
 from ..isa.spec import SPEC
 from .cpu import U64
-from .machine import (CycleLimitExceeded, EmulationFault, EXIT_ADDR,
+from .machine import (CycleLimitExceeded, EmulationFault, EXIT_ADDR, RSP,
                       THREAD_EXIT_ADDR, ThreadContext)
 from .memory import MemoryFault
 
 __all__ = ["run_fast", "specialize"]
 
 
-def run_fast(machine, max_cycles: int) -> int:
-    """The fast engine's outer scheduling loop.
+def _run_chain(machine, thread, budget: int, max_cycles: int) -> int:
+    """Execute planned guest instructions on ``thread`` until the
+    quantum budget runs out, an unplanned PC (magic return address or
+    import stub) is reached, the machine exits, or a fault propagates.
+
+    Returns the remaining budget.  The cycle and wall-clock sums live
+    in locals for the duration of the chain; every retired instruction
+    consumes one unit of budget, so the instruction counts are the
+    budget consumed and the thread's cycles the growth of the cycle
+    sum.  All of them are published in the ``finally`` block, so
+    observable machine state is exact at every exit — including fault
+    exits mid-chain, where the faulting instruction has not retired.
+    """
+    cpu = thread.cpu
+    plans = machine._plans
+    plan_at = machine._plan_at
+    by_class = machine.cycles_by_class
+    # Planned instructions never change thread states, so the wall-clock
+    # divisor is loop-invariant.  It must stay an *int* divisor: the
+    # reference loop computes ``cost / max(1, min(runnable, cores))``
+    # and bit-identical wall_cycles requires the identical division.
+    denom = machine._runnable
+    if denom > machine.cores:
+        denom = machine.cores
+    if denom < 1:
+        denom = 1
+    start_budget = budget
+    start_total = total = machine.total_cycles
+    wall = machine.wall_cycles
+    atomics = machine.atomic_rmws
+    try:
+        while budget > 0:
+            if total > max_cycles:
+                machine.fault = CycleLimitExceeded(
+                    "cycle budget exceeded", 0, -1)
+                raise machine.fault
+            pc = cpu.pc
+            plan = plans.get(pc)
+            if plan is None:
+                if pc >= IMPORT_STUB_BASE or pc == EXIT_ADDR \
+                        or pc == THREAD_EXIT_ADDR:
+                    break
+                plan = plan_at(pc)
+            handler, instr, size, cost, klass, atomic = plan
+            if atomic:
+                atomics += 1
+            cpu.pc = pc + size
+            handler(machine, thread, instr)
+            budget -= 1
+            total += cost
+            by_class[klass] += cost
+            wall += cost / denom
+            if machine.exited:
+                break
+    except MemoryFault as exc:
+        # Same wrapping (and same post-advance pc) as the seed loop.
+        machine.fault = EmulationFault(str(exc), cpu.pc, thread.tid)
+        raise machine.fault from exc
+    except CycleLimitExceeded:
+        raise
+    except EmulationFault as exc:
+        machine.fault = exc
+        raise
+    finally:
+        retired = start_budget - budget
+        machine.instructions += retired
+        thread.instructions += retired
+        thread.cycles += total - start_total
+        machine.total_cycles = total
+        machine.wall_cycles = wall
+        machine.atomic_rmws = atomics
+    return budget
+
+
+def run_fast(machine, max_cycles: int, chain=_run_chain) -> int:
+    """The outer scheduling loop of the fast and jit engines.
 
     Mirrors the seed ``Machine._run_reference`` decision for decision —
     same RNG draws, same context-switch accounting, same fault points —
-    but hands runnable quanta to the superblock chain executor whenever
-    no per-step hook is installed.
+    but hands runnable quanta to the chain executor ``chain`` (called
+    as ``chain(machine, thread, budget, max_cycles)``, returning the
+    remaining budget) whenever no per-step hook is installed.
     """
     current = None
     budget = 0
@@ -93,7 +179,7 @@ def run_fast(machine, max_cycles: int) -> int:
             pc = current.cpu.pc
             if pc < IMPORT_STUB_BASE and pc != EXIT_ADDR \
                     and pc != THREAD_EXIT_ADDR:
-                budget = _run_chain(machine, current, budget, max_cycles)
+                budget = chain(machine, current, budget, max_cycles)
                 continue
         # Single-step path: magic return addresses, import stubs, or a
         # hooked/sanitized machine.  Exactly the seed loop's body, with
@@ -114,309 +200,237 @@ def run_fast(machine, max_cycles: int) -> int:
     return machine.exit_code
 
 
-def _run_chain(machine, thread, budget: int, max_cycles: int) -> int:
-    """Execute planned guest instructions on ``thread`` until the
-    quantum budget runs out, an unplanned PC (magic return address or
-    import stub) is reached, the machine exits, or a fault propagates.
-
-    Returns the remaining budget.  All per-instruction counters live in
-    locals for the duration of the chain and are published in the
-    ``finally`` block, so observable machine state is exact at every
-    exit — including fault exits mid-chain.
-    """
-    cpu = thread.cpu
-    plans = machine._plans
-    plan_at = machine._plan_at
-    by_class = machine.cycles_by_class
-    # Planned instructions never change thread states, so the wall-clock
-    # divisor is loop-invariant.  It must stay an *int* divisor: the
-    # reference loop computes ``cost / max(1, min(runnable, cores))``
-    # and bit-identical wall_cycles requires the identical division.
-    denom = machine._runnable
-    if denom > machine.cores:
-        denom = machine.cores
-    if denom < 1:
-        denom = 1
-    total = machine.total_cycles
-    wall = machine.wall_cycles
-    t_cycles = thread.cycles
-    t_instr = thread.instructions
-    n_instr = machine.instructions
-    atomics = machine.atomic_rmws
-    try:
-        while budget > 0:
-            if total > max_cycles:
-                machine.fault = CycleLimitExceeded(
-                    "cycle budget exceeded", 0, -1)
-                raise machine.fault
-            pc = cpu.pc
-            plan = plans.get(pc)
-            if plan is None:
-                if pc >= IMPORT_STUB_BASE or pc == EXIT_ADDR \
-                        or pc == THREAD_EXIT_ADDR:
-                    break
-                plan = plan_at(pc)
-            handler, instr, size, cost, klass, atomic = plan
-            if atomic:
-                atomics += 1
-            cpu.pc = pc + size
-            handler(machine, thread, instr)
-            budget -= 1
-            t_cycles += cost
-            t_instr += 1
-            total += cost
-            n_instr += 1
-            by_class[klass] += cost
-            wall += cost / denom
-            if machine.exited:
-                break
-    except MemoryFault as exc:
-        # Same wrapping (and same post-advance pc) as the seed loop.
-        machine.fault = EmulationFault(str(exc), cpu.pc, thread.tid)
-        raise machine.fault from exc
-    except CycleLimitExceeded:
-        raise
-    except EmulationFault as exc:
-        machine.fault = exc
-        raise
-    finally:
-        machine.total_cycles = total
-        machine.wall_cycles = wall
-        machine.instructions = n_instr
-        machine.atomic_rmws = atomics
-        thread.cycles = t_cycles
-        thread.instructions = t_instr
-    return budget
-
-
 # --- plan-time handler specialization ----------------------------------------
 #
-# The second half of "pre-specialized execution plans": at plan-build
-# time the operand *shapes* of an instruction are known, so the generic
-# handler's per-retire isinstance dispatch and width branching can be
-# compiled away into a closure over precomputed indices, masks, and
-# address formulas.  Specialized handlers keep the generic calling
-# convention ``handler(machine, thread, instr)`` and go through
-# ``cpu.get``/``cpu.set`` and ``memory.read_int``/``write_int``, so
-# register-traffic profiling (ProfiledCpuState) and fault behaviour
-# are bit-identical to the generic path — the specializer only removes
-# work that cannot change observable state.  Anything without a
-# specialization (vector operands, indirect branches, shifts, atomics,
-# SIMD) falls back to the generic dispatch handler unchanged.
+# At plan-build time an instruction's operand shapes are known, so the
+# generic handler's per-retire isinstance dispatch, width branching and
+# register accessor calls compile away.  A specialized handler indexes
+# the thread's register list ``r`` directly; memory still goes through
+# ``Memory.read_int``/``write_int`` and flags through
+# ``Machine._flags_*``, so those semantics stay defined in one place.
+# Each handler performs its generic twin's reads, writes and faults in
+# the same order, which ``tests/unit/test_engine_specialize.py`` checks
+# shape by shape on random states.  Anything without a specialization
+# (vector operands, indirect branches, shifts, division, atomics, SIMD,
+# terminators other than ``ret``) keeps its generic handler.
 
 #: jcc mnemonic -> flag predicate.  The compiled spec predicates are
-#: the very callables Machine._cond evaluates, so both engines agree
-#: by construction.
+#: the very callables Machine._cond evaluates, so both agree by
+#: construction.
 _CONDITIONS = {name: spec.cond for name, spec in SPEC.items()
                if spec.branch_kind == "jcc"}
 
-
-def _alu_flags_fn(alu_op: str):
-    """The flag-producing evaluator for a spec ``alu_op``, specialized
-    through the machine's flag helpers (semantics stay in one place)."""
-    if alu_op == "add":
-        return lambda m, cpu, a, b, w: m._flags_add(cpu, a, b, w)
-    if alu_op == "sub":
-        return lambda m, cpu, a, b, w: m._flags_sub(cpu, a, b, w)
-    if alu_op == "and":
-        return lambda m, cpu, a, b, w: m._flags_logic(cpu, a & b, w)
-    if alu_op == "or":
-        return lambda m, cpu, a, b, w: m._flags_logic(cpu, a | b, w)
-    if alu_op == "xor":
-        return lambda m, cpu, a, b, w: m._flags_logic(cpu, a ^ b, w)
-    raise ValueError(f"no ALU evaluator for {alu_op!r}")
-
-
-#: mnemonic -> flag-producing ALU evaluator, for the spec's ALU group.
-_ALU_FLAGS = {name: _alu_flags_fn(spec.alu_op)
-              for name, spec in SPEC.items() if spec.alu_op}
-
-
-def _addr_fn(mem: Mem):
-    """Compile a Mem operand's effective-address formula to a closure.
-
-    Same register read sequence as Machine._mem_addr (base before
-    index), so profiled register traffic is unchanged.
-    """
-    disp = mem.disp
-    base = mem.base.index if mem.base is not None else None
-    index = mem.index.index if mem.index is not None else None
-    scale = mem.scale
-    if base is None and index is None:
-        const = disp & U64
-        return lambda cpu: const
-    if index is None:
-        return lambda cpu: (disp + cpu.get(base)) & U64
-    if base is None:
-        return lambda cpu: (disp + cpu.get(index) * scale) & U64
-    return lambda cpu: (disp + cpu.get(base)
-                        + cpu.get(index) * scale) & U64
-
-
-def _reader(op, width: int):
-    """A closure reading ``op`` exactly as Machine._read_operand would,
-    or None when no specialization applies (vector registers)."""
-    if isinstance(op, Reg):
-        if op.is_vector:
-            return None
-        idx = op.index
-        if width == 8:
-            return lambda m, t: t.cpu.get(idx)
-        mask = (1 << (width * 8)) - 1
-        return lambda m, t: t.cpu.get(idx) & mask
-    if isinstance(op, Imm):
-        value = op.value & ((1 << (width * 8)) - 1)
-        return lambda m, t: value
-    if isinstance(op, Mem):
-        addr = _addr_fn(op)
-        return lambda m, t: m.memory.read_int(addr(t.cpu), width)
-    return None
-
-
-def _writer(op, width: int):
-    """A closure writing ``op`` exactly as Machine._write_operand would,
-    or None when no specialization applies."""
-    if isinstance(op, Reg):
-        if op.is_vector:
-            return None
-        idx = op.index
-        if width < 8:
-            mask = (1 << (width * 8)) - 1
-            return lambda m, t, v: t.cpu.set(idx, v & mask)
-        return lambda m, t, v: t.cpu.set(idx, v)
-    if isinstance(op, Mem):
-        addr = _addr_fn(op)
-        return lambda m, t, v: m.memory.write_int(addr(t.cpu), v, width)
-    return None
+#: The operator of each logic ``alu_op`` (add and sub have their own
+#: flag helpers).
+_LOGIC_OPS = {"and": "&", "or": "|", "xor": "^"}
 
 
 def specialize(instr: Instruction, generic):
     """Return a handler specialized to ``instr``'s operand shapes, or
-    ``generic`` when the shape has no specialization."""
-    mnemonic = instr.mnemonic
-    width = instr.width
-    ops = instr.operands
+    ``generic`` when the shape has no specialization.
 
-    if mnemonic == "mov":
-        read = _reader(ops[1], width)
-        write = _writer(ops[0], width)
-        if read is None or write is None:
-            return generic
+    Handlers keep the generic calling convention
+    ``handler(machine, thread, instr)``.  Emitters are found by the
+    spec's ``sem`` tag, or its branch or terminator kind, so no
+    per-mnemonic table exists outside ``isa/spec.py``.
+    """
+    spec = SPEC[instr.mnemonic]
+    tag = spec.sem or spec.branch_kind or spec.terminator_kind
+    emit = getattr(_Handler, f"_sem_{tag}", None)
+    if emit is None or instr.width not in spec.widths:
+        return generic
+    if spec.branch_kind is not None and \
+            not isinstance(instr.operands[0], Imm):
+        return generic      # indirect: the generic handler fires hooks
+    handler = _Handler(instr)
+    emit(handler, *instr.operands)
+    return handler.build()
 
-        def h_mov(m, t, i, read=read, write=write):
-            write(m, t, read(m, t))
-        return h_mov
 
-    if mnemonic == "lea":
-        if not (isinstance(ops[0], Reg) and not ops[0].is_vector
-                and isinstance(ops[1], Mem)):
-            return generic
-        idx = ops[0].index
-        addr = _addr_fn(ops[1])
+class _Handler:
+    """The Python source of one specialized handler.
 
-        def h_lea(m, t, i, idx=idx, addr=addr):
-            cpu = t.cpu
-            cpu.set(idx, addr(cpu))
-        return h_lea
+    Emitters append statements over ``m`` (machine), ``t`` (thread),
+    ``cpu`` and ``r`` (its register list).  Operand constants become
+    closure variables ``k0, k1, ...`` rather than literals, so every
+    instruction of one shape shares a compiled factory: compiling per
+    instruction would cost more than the handler saves.
+    """
 
-    if mnemonic in ("cmp", "test"):
-        read_a = _reader(ops[0], width)
-        read_b = _reader(ops[1], width)
-        if read_a is None or read_b is None:
-            return generic
-        if mnemonic == "cmp":
-            def h_cmp(m, t, i, ra=read_a, rb=read_b, w=width):
-                m._flags_sub(t.cpu, ra(m, t), rb(m, t), w)
-            return h_cmp
+    def __init__(self, instr: Instruction) -> None:
+        self.mnemonic = instr.mnemonic
+        self.width = instr.width
+        self.lines = []
+        self.consts = []
 
-        def h_test(m, t, i, ra=read_a, rb=read_b, w=width):
-            m._flags_logic(t.cpu, ra(m, t) & rb(m, t), w)
-        return h_test
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
 
-    if mnemonic in _ALU_FLAGS:
-        read_d = _reader(ops[0], width)
-        read_s = _reader(ops[1], width)
-        write_d = _writer(ops[0], width)
-        if read_d is None or read_s is None or write_d is None:
-            return generic
-        flags = _ALU_FLAGS[mnemonic]
+    def reg(self, op: Reg) -> str:
+        return f"r[{self.const(op.index)}]"
 
-        def h_alu(m, t, i, rd=read_d, rs=read_s, wd=write_d,
-                  flags=flags, w=width):
-            result = flags(m, t.cpu, rd(m, t), rs(m, t), w)
-            wd(m, t, result)
-        return h_alu
+    def addr(self, mem: Mem) -> str:
+        """The effective address, as Machine._mem_addr computes it."""
+        terms = []
+        if mem.base is not None:
+            terms.append(self.reg(mem.base))
+        if mem.index is not None:
+            terms.append(f"{self.reg(mem.index)} * {self.const(mem.scale)}")
+        if not terms:
+            return self.const(mem.disp & U64)
+        if mem.disp:
+            terms.append(self.const(mem.disp))
+        elif mem.index is None:
+            return terms[0]         # a register value is already in range
+        return f"({' + '.join(terms)}) & {U64}"
 
-    if mnemonic in ("inc", "dec"):
-        read_d = _reader(ops[0], width)
-        write_d = _writer(ops[0], width)
-        if read_d is None or write_d is None:
-            return generic
-        add = mnemonic == "inc"
+    def bind(self, op):
+        """Evaluate a memory operand's address once into the local
+        ``a`` (read-modify-write destinations); registers pass through."""
+        if isinstance(op, Mem):
+            self.lines.append(f"a = {self.addr(op)}")
+            return "a"
+        return op
 
-        def h_incdec(m, t, i, rd=read_d, wd=write_d, add=add, w=width):
-            cpu = t.cpu
-            saved_cf = cpu.cf
-            if add:
-                result = m._flags_add(cpu, rd(m, t), 1, w)
-            else:
-                result = m._flags_sub(cpu, rd(m, t), 1, w)
-            cpu.cf = saved_cf          # INC/DEC leave CF unchanged
-            wd(m, t, result)
-        return h_incdec
+    def read(self, op, width: int) -> str:
+        """An expression for Machine._read_operand's value of ``op``
+        (a register, an immediate, a Mem, or a bound address)."""
+        if isinstance(op, Reg):
+            if width < 8:
+                return f"({self.reg(op)} & {_mask(width)})"
+            return self.reg(op)
+        if isinstance(op, Imm):
+            return self.const(op.value & _mask(width))
+        addr = op if isinstance(op, str) else self.addr(op)
+        return f"m.memory.read_int({addr}, {width})"
 
-    if mnemonic in _CONDITIONS and isinstance(ops[0], Imm):
-        target = ops[0].value & U64
-        cond = _CONDITIONS[mnemonic]
+    def store(self, op, value: str, width: int) -> None:
+        """Machine._write_operand of a ``value`` already masked to
+        ``width`` (so a register store needs no further masking)."""
+        if isinstance(op, Reg):
+            self.lines.append(f"{self.reg(op)} = {value}")
+            return
+        addr = op if isinstance(op, str) else self.addr(op)
+        self.lines.append(f"m.memory.write_int({addr}, {value}, {width})")
 
-        def h_jcc(m, t, i, cond=cond, target=target):
-            cpu = t.cpu
-            if cond(cpu):
-                cpu.pc = target
-        return h_jcc
+    def build(self):
+        """The handler: this shape's factory applied to the constants."""
+        text = "\n".join(self.lines)
+        prologue = []
+        if "cpu" in text:
+            prologue.append("cpu = t.cpu")
+        if "r[" in text:
+            prologue.append("r = cpu.regs" if prologue else "r = t.cpu.regs")
+        body = "".join(f"        {line}\n" for line in prologue + self.lines)
+        params = ", ".join(f"k{n}" for n in range(len(self.consts)))
+        return _factory(self.mnemonic, params, body)(*self.consts)
 
-    if mnemonic == "jmp" and isinstance(ops[0], Imm):
-        target = ops[0].value & U64
+    # -- per-sem emitters (resolved via the spec, never by literal table) --
 
-        def h_jmp(m, t, i, target=target):
-            t.cpu.pc = target
-        return h_jmp
+    def _sem_mov(self, dst, src) -> None:
+        self.store(dst, self.read(src, self.width), self.width)
 
-    if mnemonic == "call" and isinstance(ops[0], Imm):
-        target = ops[0].value & U64
+    def _sem_movsx(self, dst, src) -> None:
+        sign = 1 << (self.width * 8 - 1)
+        value = self.read(src, self.width)
+        self.store(dst, f"(({value} ^ {sign}) - {sign}) & {U64}", 8)
 
-        def h_call(m, t, i, target=target):
-            cpu = t.cpu
-            sp = cpu.get(4) - 8        # RSP
-            cpu.set(4, sp)
-            m.memory.write_int(sp, cpu.pc, 8)
-            cpu.pc = target
-        return h_call
+    def _sem_lea(self, dst, src) -> None:
+        self.store(dst, self.addr(src), 8)
 
-    if mnemonic == "push":
-        read = _reader(ops[0], 8)
-        if read is None:
-            return generic
+    def _sem_push(self, src) -> None:
+        self.lines += [f"v = {self.read(src, 8)}",
+                       f"sp = r[{RSP}] - 8",
+                       f"r[{RSP}] = sp & {U64}",
+                       "m.memory.write_int(sp, v, 8)"]
 
-        def h_push(m, t, i, read=read):
-            cpu = t.cpu
-            value = read(m, t)
-            sp = cpu.get(4) - 8
-            cpu.set(4, sp)
-            m.memory.write_int(sp, value, 8)
-        return h_push
+    def _sem_pop(self, dst) -> None:
+        self.lines += [f"sp = r[{RSP}]",
+                       "v = m.memory.read_int(sp, 8)",
+                       f"r[{RSP}] = (sp + 8) & {U64}"]
+        self.store(dst, "v", 8)
 
-    if mnemonic == "pop":
-        write = _writer(ops[0], 8)
-        if write is None:
-            return generic
+    def _binop(self, dst, src, result: str) -> None:
+        """``dst = result`` over ``x`` (dst) and ``y`` (src), read in
+        that order, as Machine._binop does."""
+        dst = self.bind(dst)
+        self.lines += [f"x = {self.read(dst, self.width)}",
+                       f"y = {self.read(src, self.width)}",
+                       f"v = {result}"]
+        self.store(dst, "v", self.width)
 
-        def h_pop(m, t, i, write=write):
-            cpu = t.cpu
-            sp = cpu.get(4)
-            value = m.memory.read_int(sp, 8)
-            cpu.set(4, sp + 8)
-            write(m, t, value)
-        return h_pop
+    def _alu(self, alu_op: str, a: str, b: str) -> str:
+        if alu_op in _LOGIC_OPS:
+            return (f"m._flags_logic(cpu, {a} {_LOGIC_OPS[alu_op]} {b}, "
+                    f"{self.width})")
+        return f"m._flags_{alu_op}(cpu, {a}, {b}, {self.width})"
 
-    return generic
+    def _sem_alu(self, dst, src) -> None:
+        self._binop(dst, src, self._alu(SPEC[self.mnemonic].alu_op, "x", "y"))
+
+    def _sem_imul(self, dst, src) -> None:
+        sign = 1 << (self.width * 8 - 1)
+        wrap = sign << 1
+        self._binop(dst, src, (
+            f"m._flags_logic(cpu, ((x - {wrap} if x >= {sign} else x) * "
+            f"(y - {wrap} if y >= {sign} else y)) & {_mask(self.width)}, "
+            f"{self.width})"))
+
+    def _incdec(self, dst, alu_op: str) -> None:
+        dst = self.bind(dst)
+        self.lines += ["c = cpu.cf",
+                       f"v = {self._alu(alu_op, self.read(dst, self.width), '1')}",
+                       "cpu.cf = c"]       # INC/DEC leave CF unchanged
+        self.store(dst, "v", self.width)
+
+    def _sem_inc(self, dst) -> None:
+        self._incdec(dst, "add")
+
+    def _sem_dec(self, dst) -> None:
+        self._incdec(dst, "sub")
+
+    def _sem_cmp(self, a, b) -> None:
+        self.lines.append(self._alu("sub", self.read(a, self.width),
+                                    self.read(b, self.width)))
+
+    def _sem_test(self, a, b) -> None:
+        self.lines.append(self._alu("and", self.read(a, self.width),
+                                    self.read(b, self.width)))
+
+    def _sem_jcc(self, target: Imm) -> None:
+        cond = self.const(_CONDITIONS[self.mnemonic])
+        self.lines += [f"if {cond}(cpu):",
+                       f"    cpu.pc = {self.const(target.value & U64)}"]
+
+    def _sem_jmp(self, target: Imm) -> None:
+        self.lines.append(f"cpu.pc = {self.const(target.value & U64)}")
+
+    def _sem_call(self, target: Imm) -> None:
+        self.lines += [f"sp = r[{RSP}] - 8",
+                       f"r[{RSP}] = sp & {U64}",
+                       "m.memory.write_int(sp, cpu.pc, 8)",
+                       f"cpu.pc = {self.const(target.value & U64)}"]
+
+    def _sem_ret(self) -> None:
+        self.lines += [f"sp = r[{RSP}]",
+                       "cpu.pc = m.memory.read_int(sp, 8)",
+                       f"r[{RSP}] = (sp + 8) & {U64}"]
+
+
+def _mask(width: int) -> int:
+    return (1 << (width * 8)) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _factory(name: str, params: str, body: str):
+    """Compile ``def make(params): def h_name(m, t, i): body`` once per
+    distinct handler shape.  The key space is finite: mnemonics ×
+    operand shapes × addressing forms × widths."""
+    source = (f"def make({params}):\n"
+              f"    def h_{name}(m, t, i):\n{body}"
+              f"    return h_{name}\n")
+    namespace = {"__builtins__": {}}
+    exec(compile(source, f"<handler {name}>", "exec"),  # noqa: S102
+         namespace)
+    return namespace["make"]

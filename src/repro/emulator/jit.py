@@ -61,6 +61,7 @@ compiled code objects instead of paying compilation again.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional
 
 from ..binfmt import IMPORT_STUB_BASE
@@ -70,7 +71,7 @@ from ..isa.spec import SPEC, cond_source, flags_update_source
 from .cpu import U64
 from .engine import _run_chain, run_fast
 from .machine import (CycleLimitExceeded, EmulationFault, EXIT_ADDR,
-                      THREAD_EXIT_ADDR, ThreadContext)
+                      THREAD_EXIT_ADDR)
 from .memory import MemoryFault
 
 __all__ = ["run_jit", "TraceJit", "Trace"]
@@ -1018,6 +1019,9 @@ class TraceJit:
         self.entries = 0
         self.trace_instructions = 0
         self.deopts = 0
+        #: Host seconds spent discovering, generating and compiling
+        #: traces (failed attempts included) — the cold-run cost.
+        self.compile_seconds = 0.0
         profile = machine.jit_profile
         if profile is not None:
             # One arrival below the trigger: the next taken branch into
@@ -1036,17 +1040,19 @@ class TraceJit:
         if head >= IMPORT_STUB_BASE or head == EXIT_ADDR \
                 or head == THREAD_EXIT_ADDR:
             return
+        start = time.perf_counter()
         try:
             trace = build_trace(self.machine, head)
         except Exception:
             trace = None
+        self.compile_seconds += time.perf_counter() - start
         if trace is None:
             self.failures += 1
         else:
             self.compiled += 1
         self.traces[head] = trace
 
-    def stats(self) -> Dict[str, int]:
+    def stats(self) -> Dict[str, float]:
         """The ``jit.*`` counter snapshot (see Machine.jit_stats)."""
         live = sum(1 for t in self.traces.values() if t is not None)
         return {
@@ -1056,77 +1062,38 @@ class TraceJit:
             "jit.entries": self.entries,
             "jit.instructions": self.trace_instructions,
             "jit.deopts": self.deopts,
+            "jit.compile_seconds": self.compile_seconds,
         }
 
 
 def run_jit(machine, max_cycles: int) -> int:
-    """The tier-3 engine's outer scheduling loop.
-
-    Identical scheduling decisions to ``run_fast`` (same RNG draws,
-    same context-switch accounting, same fault points); runnable
-    quanta go to the trace-dispatching chain executor.  Register-
-    traffic profiling deopts the whole run to tier-2 — generated code
-    bypasses the counting register accessors.
+    """The tier-3 engine: ``run_fast``'s scheduling loop (same RNG
+    draws, same context-switch accounting, same fault points) with
+    runnable quanta handed to the trace-dispatching chain executor.
+    Register-traffic profiling deopts the whole run to tier-2 —
+    generated code bypasses the counting register accessors.
     """
-    jit = machine._jit
-    if jit is None:
-        jit = machine._jit = TraceJit(machine)
+    if machine._jit is None:
+        machine._jit = TraceJit(machine)
     if machine.profile_registers:
         return run_fast(machine, max_cycles)
-    current = None
-    budget = 0
-    rng = machine.rng
-    quantum = machine.quantum
-    cores = machine.cores
-    while not machine.exited:
-        if machine.total_cycles > max_cycles:
-            machine.fault = CycleLimitExceeded("cycle budget exceeded", 0, -1)
-            raise machine.fault
-        if current is None or budget <= 0 or \
-                current.state != ThreadContext.RUNNABLE:
-            previous = current
-            current = machine._pick_thread()
-            if current is None:
-                break
-            if previous is not None and current is not previous:
-                machine.context_switches += 1
-            budget = quantum + rng.randrange(quantum)
-        if machine.step_hook is None and "_step" not in machine.__dict__:
-            pc = current.cpu.pc
-            if pc < IMPORT_STUB_BASE and pc != EXIT_ADDR \
-                    and pc != THREAD_EXIT_ADDR:
-                if machine.indirect_hooks:
-                    # Deopt: tier-2 chain fires indirect hooks exactly.
-                    budget = _run_chain(machine, current, budget,
-                                        max_cycles)
-                else:
-                    budget = _run_chain_jit(machine, current, budget,
-                                            max_cycles, jit)
-                continue
-        try:
-            cost = machine._step(current)
-        except MemoryFault as exc:
-            machine.fault = EmulationFault(str(exc), current.cpu.pc,
-                                           current.tid)
-            raise machine.fault from exc
-        except EmulationFault as exc:
-            machine.fault = exc
-            raise
-        budget -= 1
-        machine.wall_cycles += cost / max(1, min(machine._runnable, cores))
-    return machine.exit_code
+    return run_fast(machine, max_cycles, chain=_run_chain_jit)
 
 
-def _run_chain_jit(machine, thread, budget: int, max_cycles: int,
-                   jit: TraceJit) -> int:
+def _run_chain_jit(machine, thread, budget: int, max_cycles: int) -> int:
     """``engine._run_chain`` with trace dispatch and heat counting.
 
-    Per-instruction behaviour (counter buffering, fault wrapping,
-    publication) is byte-for-byte the tier-2 chain; the additions are
-    (a) a trace-cache probe per chain iteration, entered only when the
+    Per-instruction behaviour (fault wrapping, publication of the
+    buffered counters) is the tier-2 chain's; the additions are (a) a
+    trace-cache probe per chain iteration, entered only when the
     quantum and cycle budgets cover a full pass, and (b) a hotness
     bump per *taken* control transfer, compiling at the threshold.
+    With indirect-transfer hooks installed the quantum deopts to the
+    tier-2 chain, which fires them exactly.
     """
+    if machine.indirect_hooks:
+        return _run_chain(machine, thread, budget, max_cycles)
+    jit = machine._jit
     cpu = thread.cpu
     plans = machine._plans
     plan_at = machine._plan_at

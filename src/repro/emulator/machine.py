@@ -346,9 +346,9 @@ class Machine:
                 raise self.fault
             return None
         picked = runnable[self.rng.randrange(len(runnable))]
-        # Swap the memory fast path's one-entry segment cache to the
-        # picked thread's last hit (pure optimisation, no observable
-        # effect — see Memory.select_thread).
+        # Swap the memory's segment cache to the picked thread's last
+        # two hits (pure optimisation, no observable effect — see
+        # Memory.select_thread).
         self.memory.select_thread(picked.tid)
         return picked
 
@@ -386,9 +386,10 @@ class Machine:
             # traces there; the code bytes they specialized are gone.
             shared.clear()
 
-    def jit_stats(self) -> Dict[str, int]:
+    def jit_stats(self) -> Dict[str, float]:
         """The tier-3 JIT's own ``jit.*`` counters (traces compiled,
-        trace entries, instructions retired inside traces, deopts).
+        trace entries, instructions retired inside traces, deopts,
+        host seconds spent compiling).
 
         Deliberately *not* part of :meth:`perf_counters`: engine
         snapshots are asserted bit-identical across reference/fast/jit,
@@ -404,11 +405,15 @@ class Machine:
         lookup, static cost (``costs.static_cost``: base + lock penalty
         + memory traffic), perf-counter class, atomic-RMW flag — is
         evaluated once here, at decode time (see
-        repro.emulator.engine)."""
+        repro.emulator.engine).  Register-traffic profiling plans the
+        generic handler, whose counting accessors the specialized
+        handlers bypass."""
         from .engine import specialize
         instr, size = self._decode_at(pc)
         mnemonic = instr.mnemonic
-        handler = specialize(instr, _DISPATCH[mnemonic])
+        handler = _DISPATCH[mnemonic]
+        if not self.profile_registers:
+            handler = specialize(instr, handler)
         plan = (handler, instr, size, static_cost(instr),
                 INSTR_CLASS[mnemonic], instr.is_atomic)
         self._plans[pc] = plan

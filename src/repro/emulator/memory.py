@@ -1,10 +1,11 @@
 """Flat segmented memory for the VX machine.
 
 Memory is a set of non-overlapping segments.  Reads and writes resolve
-the containing segment (with a one-entry cache, since accesses are
-strongly local) and fault on unmapped addresses — the behaviour that
-makes incorrectly recompiled binaries *observably* crash, which the
-evaluation relies on.
+the containing segment (through a two-slot cache of the current
+thread's last two hits, since accesses are strongly local) and fault
+on unmapped addresses — the behaviour that makes incorrectly
+recompiled binaries *observably* crash, which the evaluation relies
+on.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 #: Packers for the dominant access widths.  ``unpack_from``/``pack_into``
-#: work directly against a segment's backing bytearray, skipping the
-#: intermediate ``bytes`` copy the generic path pays per access.
+#: work directly against a segment's backing bytearray, with no
+#: intermediate ``bytes`` copy.
 U32 = struct.Struct("<I")
 U64 = struct.Struct("<Q")
 
@@ -44,12 +45,18 @@ class Memory:
 
     def __init__(self) -> None:
         self._segments: List[_Segment] = []
+        # The segment cache: the last two segments hit, most recent
+        # first.  A thread's accesses alternate between a few regions
+        # (its stack and the heap or data it works on), so a second
+        # slot catches most of what a one-entry cache misses.
         self._last: Optional[_Segment] = None
-        # Per-thread last-hit segments: threads interleave at quantum
+        self._prev: Optional[_Segment] = None
+        # Per-thread (last, prev) slots: threads interleave at quantum
         # granularity, and each tends to hammer its own stack/heap
         # region, so a context switch restores that thread's locality
         # instead of starting every quantum with a cache miss.
-        self._thread_last: Dict[int, Optional[_Segment]] = {}
+        self._thread_last: Dict[int, Tuple[Optional[_Segment],
+                                           Optional[_Segment]]] = {}
         self._cur_tid: Optional[int] = None
 
     # -- mapping -------------------------------------------------------------
@@ -66,31 +73,34 @@ class Memory:
                 raise MemoryFault(addr, len(data), "map-overlap")
         self._segments.append(new)
         self._segments.sort(key=lambda seg: seg.start)
-        self._last = None
-        self._thread_last.clear()
+        self._drop_caches()
 
     def unmap(self, addr: int) -> None:
         """Remove the segment starting exactly at ``addr``."""
         for i, seg in enumerate(self._segments):
             if seg.start == addr:
                 del self._segments[i]
-                self._last = None
-                self._thread_last.clear()
+                self._drop_caches()
                 return
         raise MemoryFault(addr, 0, "unmap")
 
+    def _drop_caches(self) -> None:
+        self._last = self._prev = None
+        self._thread_last.clear()
+
     def select_thread(self, tid: int) -> None:
-        """Switch the one-entry segment cache to ``tid``'s last hit.
+        """Switch the segment cache to ``tid``'s last two hits.
 
         Called by the scheduler at every pick; a no-op when the same
         thread keeps running.  Purely an optimisation — resolution and
-        fault behaviour are identical whichever segment is cached.
+        fault behaviour are identical whichever segments are cached.
         """
         cur = self._cur_tid
         if tid != cur:
             if cur is not None:
-                self._thread_last[cur] = self._last
-            self._last = self._thread_last.get(tid)
+                self._thread_last[cur] = (self._last, self._prev)
+            self._last, self._prev = self._thread_last.get(tid,
+                                                           (None, None))
             self._cur_tid = tid
 
     def is_mapped(self, addr: int, size: int = 1) -> bool:
@@ -106,86 +116,91 @@ class Memory:
     # -- access --------------------------------------------------------------
 
     def _find(self, addr: int) -> Optional[_Segment]:
+        """The segment containing ``addr``, or None; a hit outside the
+        first cache slot becomes the most recent."""
         last = self._last
         if last is not None and last.start <= addr < last.end:
             return last
-        lo, hi = 0, len(self._segments)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            seg = self._segments[mid]
-            if addr < seg.start:
-                hi = mid
-            elif addr >= seg.end:
-                lo = mid + 1
+        seg = self._prev
+        if seg is None or not seg.start <= addr < seg.end:
+            segments = self._segments
+            lo, hi = 0, len(segments)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                seg = segments[mid]
+                if addr < seg.start:
+                    hi = mid
+                elif addr >= seg.end:
+                    lo = mid + 1
+                else:
+                    break
             else:
-                self._last = seg
-                return seg
-        return None
+                return None
+        self._prev = last
+        self._last = seg
+        return seg
+
+    def _resolve(self, addr: int, size: int, kind: str) -> _Segment:
+        """The segment holding all of [addr, addr+size); a
+        ``MemoryFault(addr, size, kind)`` when no single segment does."""
+        seg = self._find(addr)
+        if seg is None or addr + size > seg.end:
+            raise MemoryFault(addr, size, kind)
+        return seg
 
     def read(self, addr: int, size: int) -> bytes:
         """Read ``size`` bytes; faults on unmapped addresses."""
-        seg = self._find(addr)
-        if seg is None or addr + size > seg.end:
-            raise MemoryFault(addr, size, "read")
+        seg = self._resolve(addr, size, "read")
         off = addr - seg.start
         return bytes(seg.data[off:off + size])
 
     def write(self, addr: int, data: bytes) -> None:
         """Write bytes; faults on unmapped or read-only addresses."""
-        seg = self._find(addr)
-        if seg is None or addr + len(data) > seg.end:
-            raise MemoryFault(addr, len(data), "write")
+        seg = self._resolve(addr, len(data), "write")
         off = addr - seg.start
         seg.data[off:off + len(data)] = data
 
     def read_int(self, addr: int, width: int, signed: bool = False) -> int:
         """Read a little-endian integer of ``width`` bytes.
 
-        4- and 8-byte loads that hit the cached segment unpack straight
-        from its backing bytearray (no intermediate bytes copy); every
-        other case — cache miss, odd width, segment-boundary overrun —
-        falls through to :meth:`read`, which resolves and faults with
-        the exact historical ``MemoryFault(addr, width, "read")``.
+        The value is unpacked straight from the segment's backing
+        bytearray, whichever cache slot (or the segment table) supplies
+        it; an access no single segment holds faults with
+        ``MemoryFault(addr, width, "read")``.
         """
         seg = self._last
-        if seg is not None and seg.start <= addr:
-            off = addr - seg.start
-            if width == 8:
-                if addr + 8 <= seg.end:
-                    val = U64.unpack_from(seg.data, off)[0]
-                    if signed and val >= 0x8000000000000000:
-                        return val - 0x10000000000000000
-                    return val
-            elif width == 4:
-                if addr + 4 <= seg.end:
-                    val = U32.unpack_from(seg.data, off)[0]
-                    if signed and val >= 0x80000000:
-                        return val - 0x100000000
-                    return val
-        raw = self.read(addr, width)
-        return int.from_bytes(raw, "little", signed=signed)
+        if seg is None or addr < seg.start or addr + width > seg.end:
+            seg = self._resolve(addr, width, "read")
+        off = addr - seg.start
+        if width == 8:
+            val = U64.unpack_from(seg.data, off)[0]
+            if signed and val >= 0x8000000000000000:
+                return val - 0x10000000000000000
+            return val
+        if width == 4:
+            val = U32.unpack_from(seg.data, off)[0]
+            if signed and val >= 0x80000000:
+                return val - 0x100000000
+            return val
+        return int.from_bytes(seg.data[off:off + width], "little",
+                              signed=signed)
 
     def write_int(self, addr: int, value: int, width: int) -> None:
-        """Write a little-endian integer of ``width`` bytes.
-
-        Mirrors :meth:`read_int`: 4/8-byte stores into the cached
-        segment pack in place, everything else goes through
-        :meth:`write` for identical fault behaviour.
-        """
+        """Write a little-endian integer of ``width`` bytes (``value``
+        truncated to the width), packed in place; mirrors
+        :meth:`read_int`, faulting with ``MemoryFault(addr, width,
+        "write")``."""
         seg = self._last
-        if seg is not None and seg.start <= addr:
-            if width == 8:
-                if addr + 8 <= seg.end:
-                    U64.pack_into(seg.data, addr - seg.start,
-                                  value & 0xFFFFFFFFFFFFFFFF)
-                    return
-            elif width == 4:
-                if addr + 4 <= seg.end:
-                    U32.pack_into(seg.data, addr - seg.start,
-                                  value & 0xFFFFFFFF)
-                    return
-        value &= (1 << (width * 8)) - 1
-        self.write(addr, value.to_bytes(width, "little"))
+        if seg is None or addr < seg.start or addr + width > seg.end:
+            seg = self._resolve(addr, width, "write")
+        off = addr - seg.start
+        if width == 8:
+            U64.pack_into(seg.data, off, value & 0xFFFFFFFFFFFFFFFF)
+        elif width == 4:
+            U32.pack_into(seg.data, off, value & 0xFFFFFFFF)
+        else:
+            seg.data[off:off + width] = (
+                value & ((1 << (width * 8)) - 1)).to_bytes(width, "little")
 
     def read_cstr(self, addr: int, limit: int = 4096) -> bytes:
         """Read a NUL-terminated byte string (bounded by ``limit``).

@@ -107,9 +107,9 @@ class TestMemory:
 
 
 class TestMemoryFastPath:
-    """The 4/8-byte packed-struct fast path and the per-thread one-entry
-    segment cache must be pure optimisations: identical values, masking
-    and fault behaviour whichever segment happens to be cached."""
+    """The packed-struct fast path and the per-thread two-slot segment
+    cache must be pure optimisations: identical values, masking and
+    fault behaviour whichever segments happen to be cached."""
 
     def test_fast_path_hits_cached_segment(self):
         mem = Memory()
@@ -174,6 +174,86 @@ class TestMemoryFastPath:
         assert not mem._thread_last
         with pytest.raises(MemoryFault):
             mem.read_int(0x1000, 8)
+
+    @staticmethod
+    def _three_segments():
+        mem = Memory()
+        for addr, name in ((0x1000, "a"), (0x2000, "b"), (0x3000, "c")):
+            mem.map(addr, 16, name)
+        return mem
+
+    #: Accesses that leave segment "a" in the first slot, in the second
+    #: slot, or in neither (a full miss).
+    CACHE_STATES = ((0x1000,), (0x1000, 0x2000), (0x2000, 0x3000))
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_miss_paths_match_byte_reads(self, width):
+        mem = self._three_segments()
+        mem.write(0x1000, bytes(range(0xF0, 0x100)))   # sign bits set
+        raw = mem.read(0x1004, width)
+        for warm in self.CACHE_STATES:
+            for signed in (False, True):
+                for addr in warm:
+                    mem.read_int(addr, 1)
+                assert mem.read_int(0x1004, width, signed=signed) == \
+                    int.from_bytes(raw, "little", signed=signed)
+        value = 0x1122334455667788
+        for warm in self.CACHE_STATES:
+            mem.write(0x1000, bytes(16))
+            for addr in warm:
+                mem.read_int(addr, 1)
+            mem.write_int(0x1004, -value, width)     # truncated to width
+            assert mem.read(0x1000, 16) == bytes(4) + \
+                (-value & ((1 << (8 * width)) - 1)).to_bytes(width, "little") \
+                + bytes(12 - width)
+
+    def test_overrun_faults_whichever_segment_is_cached(self):
+        mem = Memory()
+        mem.map(0x1000, 16, "a")
+        mem.map(0x1010, 16, "b")       # adjacent: overruns still fault
+        for warm in ((0x1000,), (0x1010,), (0x1000, 0x1010),
+                     (0x1010, 0x1000)):
+            for width in (2, 4, 8):
+                addr = 0x1010 - width + 1
+                for kind, access in (
+                        ("read", lambda: mem.read_int(addr, width)),
+                        ("write", lambda: mem.write_int(addr, 1, width))):
+                    for cached in warm:
+                        mem.read_int(cached, 1)
+                    with pytest.raises(MemoryFault) as excinfo:
+                        access()
+                    fault = excinfo.value
+                    assert (fault.addr, fault.size, fault.kind) == \
+                        (addr, width, kind)
+
+    def test_select_thread_restores_both_slots(self):
+        mem = self._three_segments()
+        mem.select_thread(0)
+        mem.read_int(0x1000, 8)
+        mem.read_int(0x2000, 8)                  # thread 0: b, then a
+        mem.select_thread(1)
+        assert mem._last is None and mem._prev is None
+        mem.read_int(0x3000, 8)                  # thread 1: c
+        mem.select_thread(0)
+        assert (mem._last.name, mem._prev.name) == ("b", "a")
+        mem.select_thread(1)
+        assert mem._last.name == "c" and mem._prev is None
+
+    def test_map_and_unmap_clear_both_slots(self):
+        mem = self._three_segments()
+        for change in (lambda: mem.map(0x9000, 16, "d"),
+                       lambda: mem.unmap(0x9000)):
+            mem.select_thread(0)
+            mem.read_int(0x1000, 8)
+            mem.read_int(0x2000, 8)
+            mem.select_thread(1)                 # stashes thread 0's slots
+            mem.read_int(0x3000, 8)
+            mem.read_int(0x1000, 8)
+            change()
+            assert mem._last is None and mem._prev is None
+            assert not mem._thread_last
+            mem.select_thread(0)
+            assert mem._last is None and mem._prev is None
 
 
 # -- machine harness --------------------------------------------------------------
